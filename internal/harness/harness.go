@@ -110,6 +110,13 @@ const (
 // RunFig1RQ runs the Polyraptor side of Figure 1a or 1b and returns
 // per-foreground-session goodputs ranked descending.
 func RunFig1RQ(sc Scale, pattern Pattern, replicas int) []float64 {
+	goodputs, _ := runFig1RQ(sc, pattern, replicas)
+	return goodputs
+}
+
+// runFig1RQ is RunFig1RQ that also returns the drained fabric, whose
+// engine and queue counters the event-budget test reads.
+func runFig1RQ(sc Scale, pattern Pattern, replicas int) ([]float64, *topology.FatTree) {
 	ncfg := netsim.DefaultConfig()
 	ncfg.Seed = sc.Seed
 	ft, err := topology.NewFatTree(sc.FatTreeK, ncfg)
@@ -158,7 +165,7 @@ func RunFig1RQ(sc Scale, pattern Pattern, replicas int) []float64 {
 		})
 	}
 	ft.Net.Eng.Run()
-	return stats.RankSeries(goodputs)
+	return stats.RankSeries(goodputs), ft
 }
 
 // RunFig1TCP runs the TCP side of Figure 1a or 1b: multi-unicast for

@@ -195,3 +195,25 @@ func TestScaleLambdaPreservesLoad(t *testing.T) {
 		t.Fatal("multi-source lambda must not scale with senders")
 	}
 }
+
+// TestFig1aEventBudget guards the transmit path's cost: an idle port
+// schedules only a frame's delivery, so BenchScale Fig1a must stay
+// under 1.5 engine events per frame-hop (every port enqueue, host NICs
+// included). Two events per hop, or an event blowup, fails here. The
+// counts are deterministic, so the bound cannot flake.
+func TestFig1aEventBudget(t *testing.T) {
+	_, ft := runFig1RQ(BenchScale(), PatternMulticast, 3)
+	hops := ft.Net.QueueTotals().Enqueued
+	for _, h := range ft.Net.Hosts {
+		hops += h.NIC.QueueStats().Enqueued
+	}
+	events := ft.Net.Eng.Processed()
+	if hops == 0 {
+		t.Fatal("no frame-hops recorded")
+	}
+	perHop := float64(events) / float64(hops)
+	t.Logf("%d events / %d frame-hops = %.3f", events, hops, perHop)
+	if perHop > 1.5 {
+		t.Fatalf("%.3f engine events per frame-hop, budget 1.5", perHop)
+	}
+}

@@ -315,7 +315,7 @@ func TestQueueTotalsAggregate(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	var f fifo
+	var f fifo[*Packet]
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 100; i++ {
 			f.push(&Packet{Seq: int64(i)})

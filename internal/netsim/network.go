@@ -201,28 +201,45 @@ type Port struct {
 	rate       int64
 	delay      sim.Time
 	queue      Queue
-	busy       bool
 	up         bool
-	cut        bool // the in-flight frame crossed a down window: lose it
 	lossRate   float64
 
-	// Serialization and propagation state. A port serializes one frame
-	// at a time (txPkt) and its propagation delay is constant, so frames
-	// in flight arrive strictly in emission order (flight is FIFO). That
-	// invariant lets kick reuse two per-port callbacks (txDone, deliver)
-	// instead of allocating fresh closures for every packet — the
-	// simulator's hottest allocation site before the packet pool.
-	txPkt   *Packet
-	flight  fifo
-	txDone  func()
-	deliver func()
+	// Transmit state. A frame that starts at s holds the line over
+	// [s, busyUntil) with busyUntil = s + size*8/rate, and reaches the
+	// peer at busyUntil + delay. Its delivery is scheduled the moment
+	// it starts, so a hop through an idle port costs one engine event.
+	// The delay is constant and frames serialize one at a time, so
+	// frames in flight arrive in emission order: one per-port deliver
+	// callback pops them from the flight FIFO, and the frame on the
+	// wire (if any) is the FIFO's newest entry.
+	//
+	// txDone is scheduled, at busyUntil, only while a frame waits in
+	// the queue. Which frame leaves next then depends on what arrives
+	// before busyUntil (header priority, trimming, ECN occupancy), so
+	// the choice is made when the line frees, exactly as a switch
+	// would. The two callbacks are bound once in Connect, so the
+	// transmit path allocates no closures.
+	busyUntil sim.Time
+	txPending bool // txDone is scheduled at busyUntil
+	flight    fifo[frame]
+	txDone    func()
+	deliver   func()
 
+	// TxPackets and TxBytes count frames that reached the far end of
+	// the link, lossy-link losses included; they are taken when the
+	// frame arrives, not when it starts.
 	TxPackets int64
 	TxBytes   int64
 	// Lost counts packets destroyed by link faults: sends attempted
 	// while the link was down, frames cut when the link failed
 	// mid-serialization, and random losses on a lossy link.
 	Lost int64
+}
+
+// frame is one transmission in flight on a port.
+type frame struct {
+	pkt *Packet
+	cut bool // the link went down while it was serializing: lose it
 }
 
 // Index returns the port's position in its owner's port list.
@@ -241,10 +258,15 @@ func (p *Port) SetRate(bps int64) {
 // Rate returns the port's current transmission rate in bits/s.
 func (p *Port) Rate() int64 { return p.rate }
 
-// SetUp changes the link's up/down state. Taking a port down stops
-// its transmitter: the frame on the wire (if any) is cut and counted
-// in Lost, queued packets stay parked, and new Sends are dropped.
-// Bringing it back up restarts transmission from the surviving queue.
+// SetUp changes the link's up/down state. Taking a port down at a
+// time inside [start, busyUntil) of the frame on the wire cuts that
+// frame: it is counted in Lost when it would have arrived, even if the
+// link is back up by then (a flap shorter than one serialization still
+// loses it). Going down at busyUntil or later cuts nothing; frames
+// already propagating always arrive. While down, queued packets stay
+// parked and new Sends are dropped. Bringing the port back up re-kicks
+// the transmitter: the queue restarts at once, or at busyUntil if the
+// cut frame still holds the line.
 func (p *Port) SetUp(up bool) {
 	if p.up == up {
 		return
@@ -252,11 +274,8 @@ func (p *Port) SetUp(up bool) {
 	p.up = up
 	if up {
 		p.kick()
-	} else if p.busy {
-		// Mark the in-flight frame cut now: a flap faster than one
-		// serialization time must still lose the frame even though the
-		// link is back up when serialization completes.
-		p.cut = true
+	} else if p.net.Eng.Now() < p.busyUntil {
+		p.flight.back().cut = true
 	}
 }
 
@@ -300,9 +319,7 @@ func (p *Port) Label() string { return p.label }
 // immediately (the interface is dead), counted in Lost.
 func (p *Port) Send(pkt *Packet) {
 	if !p.up {
-		p.Lost++
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
-		p.net.FreePacket(pkt)
+		p.linkDrop(pkt)
 		return
 	}
 	if !p.queue.Enqueue(pkt) {
@@ -317,63 +334,68 @@ func (p *Port) Send(pkt *Packet) {
 	p.kick()
 }
 
-// kick starts transmitting if the line is idle: serialize for
-// size*8/rate, then propagate for delay, then deliver to the peer. A
-// down link never starts a frame; a link that goes down mid-frame
-// loses that frame (checked when serialization completes) and parks
-// the rest of the queue until SetUp re-kicks.
+// kick starts the queue's next frame, or arranges for it to start.
+// On an idle line (now >= busyUntil) the head frame starts at once and
+// only its delivery is scheduled. If more frames wait behind it, or a
+// frame arrives while the line is still busy, one txDone is scheduled
+// at busyUntil to pick the next frame then. A down link never starts a
+// frame; a txDone that finds the link down parks the queue until
+// SetUp(true) re-kicks it.
 //
 //polyvet:noalloc runs per transmitted packet; the reused txDone/deliver callbacks keep it closure-free
 func (p *Port) kick() {
-	if p.busy || !p.up {
+	if p.txPending || !p.up || p.queue.Len() == 0 {
 		return
 	}
-	pkt := p.queue.Dequeue()
-	if pkt == nil {
-		return
+	now := p.net.Eng.Now()
+	if now >= p.busyUntil {
+		pkt := p.queue.Dequeue()
+		p.busyUntil = now + sim.Time(int64(pkt.Size)*8*1e9/p.rate)
+		p.flight.push(frame{pkt: pkt})
+		p.net.Eng.At(p.busyUntil+p.delay, p.deliver)
+		if p.queue.Len() == 0 {
+			return
+		}
 	}
-	p.busy = true
-	p.txPkt = pkt
-	tx := sim.Time(int64(pkt.Size) * 8 * 1e9 / p.rate)
-	p.net.Eng.After(tx, p.txDone)
+	p.txPending = true
+	p.net.Eng.At(p.busyUntil, p.txDone)
 }
 
-// onTxDone completes serialization of the frame on the wire: account
-// for it, apply link faults, and hand survivors to propagation.
+// onTxDone fires at busyUntil while a frame waits: the line is free,
+// so start the next frame (a no-op while the link is down; recovery
+// re-kicks).
 func (p *Port) onTxDone() {
-	pkt := p.txPkt
-	p.txPkt = nil
-	p.busy = false
-	if p.cut || !p.up {
-		// The link failed at some point while this frame was on
-		// the wire (it may have already recovered): the frame is
-		// cut. kick() resumes the queue if the link is back up and
-		// is a no-op while it is still down (recovery re-kicks).
-		p.cut = false
-		p.Lost++
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
-		p.net.FreePacket(pkt)
-		p.kick()
-		return
-	}
-	p.TxPackets++
-	p.TxBytes += int64(pkt.Size)
-	if p.lossRate > 0 && p.net.lossRNG.Float64() < p.lossRate {
-		p.Lost++ // corrupted on a lossy link
-		p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
-		p.net.FreePacket(pkt)
-	} else {
-		p.flight.push(pkt)
-		p.net.Eng.After(p.delay, p.deliver)
-	}
+	p.txPending = false
 	p.kick()
 }
 
-// onDeliver completes propagation of the oldest in-flight frame. The
-// FIFO matches deliveries to packets because the delay is constant and
-// the engine fires simultaneous events in scheduling order.
+// onDeliver completes the oldest frame in flight. Every per-frame
+// outcome is taken here, in this order: a cut frame is counted in Lost;
+// otherwise the frame counts in TxPackets/TxBytes, then a lossy link
+// draws from the network's link-loss stream (one draw per surviving
+// frame, only while the loss rate is positive) and may destroy it;
+// survivors go to the peer. Arrival order is (time, scheduling order),
+// so the draws happen in a deterministic order.
 func (p *Port) onDeliver() {
-	p.peer.Receive(p.flight.pop())
+	f := p.flight.pop()
+	if f.cut {
+		p.linkDrop(f.pkt)
+		return
+	}
+	p.TxPackets++
+	p.TxBytes += int64(f.pkt.Size)
+	if p.lossRate > 0 && p.net.lossRNG.Float64() < p.lossRate {
+		p.linkDrop(f.pkt) // corrupted on a lossy link
+		return
+	}
+	p.peer.Receive(f.pkt)
+}
+
+// linkDrop destroys a packet lost to a link fault.
+func (p *Port) linkDrop(pkt *Packet) {
+	p.Lost++
+	p.net.Rec.RecordLabel(p.net.Eng.Now(), pkt.Flow, telemetry.EvLinkDrop, -1, p.label)
+	p.net.FreePacket(pkt)
 }
 
 // Switch is an output-queued switch. Route supplies the candidate

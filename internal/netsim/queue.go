@@ -25,30 +25,36 @@ type QueueStats struct {
 }
 
 // fifo is a slice-backed ring-free FIFO; head compaction keeps
-// amortised cost O(1) without a container dependency.
-type fifo struct {
-	buf  []*Packet
+// amortised cost O(1) without a container dependency. pop on an empty
+// fifo returns the zero T (nil for the packet queues).
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (f *fifo) push(p *Packet) { f.buf = append(f.buf, p) }
+func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
 
-func (f *fifo) pop() *Packet {
+func (f *fifo[T]) pop() T {
+	var zero T
 	if f.head >= len(f.buf) {
-		return nil
+		return zero
 	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
 	f.head++
 	if f.head > 64 && f.head*2 >= len(f.buf) {
 		n := copy(f.buf, f.buf[f.head:])
 		f.buf = f.buf[:n]
 		f.head = 0
 	}
-	return p
+	return v
 }
 
-func (f *fifo) len() int { return len(f.buf) - f.head }
+// back returns the most recently pushed element; the fifo must be
+// non-empty.
+func (f *fifo[T]) back() *T { return &f.buf[len(f.buf)-1] }
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 
 // DropTail is the classic single FIFO with a packet-count capacity —
 // the TCP baseline's switch queue. With a non-zero mark threshold it
@@ -58,7 +64,7 @@ func (f *fifo) len() int { return len(f.buf) - f.head }
 type DropTail struct {
 	cap   int
 	markK int
-	q     fifo
+	q     fifo[*Packet]
 	stats QueueStats
 }
 
@@ -102,8 +108,8 @@ func (d *DropTail) Stats() QueueStats { return d.stats }
 type TrimQueue struct {
 	dataCap   int
 	headerCap int
-	data      fifo
-	header    fifo
+	data      fifo[*Packet]
+	header    fifo[*Packet]
 	stats     QueueStats
 }
 

@@ -174,13 +174,16 @@ func (ft *FatTree) RackHosts(rack int) []int {
 // installRoutes sets the unicast forwarding closures. Edge and agg
 // switches return all uplinks as equal-cost candidates for non-local
 // destinations, which is what per-packet spraying and per-flow ECMP
-// choose among.
+// choose among. Every candidate set is precomputed and shared, so
+// forwarding a packet allocates nothing; Switch.Receive never mutates
+// a candidate slice.
 func (ft *FatTree) installRoutes() {
 	half := ft.K / 2
 	upPorts := make([]int, half)
 	for i := range upPorts {
 		upPorts[i] = half + i
 	}
+	port := singlePorts(ft.K) // down-port and pod indices are all < k
 	for p := 0; p < ft.K; p++ {
 		for e := 0; e < half; e++ {
 			pod, eIdx := p, e
@@ -188,7 +191,7 @@ func (ft *FatTree) installRoutes() {
 			sw.Route = func(pkt *netsim.Packet) []int {
 				dp, de, dpos := ft.edgeOf(int(pkt.Dst))
 				if dp == pod && de == eIdx {
-					return []int{dpos}
+					return port[dpos]
 				}
 				return upPorts
 			}
@@ -199,7 +202,7 @@ func (ft *FatTree) installRoutes() {
 			sw.Route = func(pkt *netsim.Packet) []int {
 				dp, de, _ := ft.edgeOf(int(pkt.Dst))
 				if dp == pod {
-					return []int{de}
+					return port[de]
 				}
 				return upPorts
 			}
@@ -208,9 +211,22 @@ func (ft *FatTree) installRoutes() {
 	for c := range ft.cores {
 		sw := ft.cores[c]
 		sw.Route = func(pkt *netsim.Packet) []int {
-			return []int{ft.Pod(int(pkt.Dst))}
+			return port[ft.Pod(int(pkt.Dst))]
 		}
 	}
+}
+
+// singlePorts returns n shared one-element candidate sets, entry i
+// holding port i. The capacity of each is capped at one, so an append
+// by a caller can never write into its neighbour.
+func singlePorts(n int) [][]int {
+	backing := make([]int, n)
+	sets := make([][]int, n)
+	for i := range sets {
+		backing[i] = i
+		sets[i] = backing[i : i+1 : i+1]
+	}
+	return sets
 }
 
 // InstallMulticastGroup builds a directed multicast tree from sender
@@ -349,9 +365,10 @@ func NewStar(n int, cfg netsim.Config) *Star {
 		st.Net.Connect(h, st.SW) // switch port i faces host i
 		st.Hosts = append(st.Hosts, h)
 	}
+	port := singlePorts(n)
 	st.SW.Route = func(pkt *netsim.Packet) []int {
 		if int(pkt.Dst) < n {
-			return []int{int(pkt.Dst)}
+			return port[pkt.Dst]
 		}
 		return nil
 	}
