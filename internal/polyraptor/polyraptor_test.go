@@ -334,3 +334,23 @@ func TestManySessionsSameHostPairInterleave(t *testing.T) {
 		t.Fatalf("unfair sharing: %v vs %v", d0, d1)
 	}
 }
+
+// TestPullQueueStaysBoundedUnderContinuousPacing: a long transfer keeps
+// the receiver's pacer busy from start to finish, so its pull queue
+// never drains. The consumed prefix must still be reclaimed; otherwise
+// the queue's backing array grows with every pull of the transfer.
+func TestPullQueueStaysBoundedUnderContinuousPacing(t *testing.T) {
+	st := topology.NewStar(2, netsim.DefaultConfig())
+	sys := NewSystem(st.Net, DefaultConfig(), 1)
+	var evs []CompletionEvent
+	sys.StartUnicast(0, 1, 4<<20, collect(&evs))
+	st.Net.Eng.Run()
+	if len(evs) != 1 {
+		t.Fatalf("completions = %d, want 1", len(evs))
+	}
+	a := sys.Agents[1]
+	t.Logf("%d symbols, pull queue capacity %d", evs[0].Symbols, cap(a.pullQ))
+	if c := cap(a.pullQ); c > 512 {
+		t.Fatalf("pull queue grew to capacity %d over one paced transfer", c)
+	}
+}

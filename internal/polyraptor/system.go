@@ -404,6 +404,15 @@ func (a *Agent) deliver(pkt *netsim.Packet) {
 // of one full data packet at the host's link rate, so the aggregate
 // data arrival rate matches link capacity.
 func (a *Agent) enqueuePull(flow, dst int32) {
+	// Under continuous pacing the queue never drains, so drop the
+	// consumed prefix once it is at least half the slice (the rule of
+	// netsim's fifo); otherwise it grows with every pull of the busy
+	// period.
+	if a.pullHead > 64 && 2*a.pullHead >= len(a.pullQ) {
+		n := copy(a.pullQ, a.pullQ[a.pullHead:])
+		a.pullQ = a.pullQ[:n]
+		a.pullHead = 0
+	}
 	a.pullQ = append(a.pullQ, pullReq{flow: flow, dst: dst})
 	if !a.pacing {
 		a.pacing = true

@@ -222,117 +222,6 @@ func TestTimerActive(t *testing.T) {
 	}
 }
 
-// refModel is a brute-force reference event queue: a flat slice scanned
-// linearly, with the same (at, seq) ordering contract as the engine.
-type refModel struct {
-	now    Time
-	seq    uint64
-	events []refEvent
-}
-
-type refEvent struct {
-	at   Time
-	seq  uint64
-	id   int
-	dead bool
-}
-
-func (m *refModel) schedule(at Time, id int) int {
-	m.seq++
-	m.events = append(m.events, refEvent{at: at, seq: m.seq, id: id})
-	return len(m.events) - 1
-}
-
-func (m *refModel) cancel(idx int) { m.events[idx].dead = true }
-
-// runUntil fires all live events with at <= deadline in (at, seq)
-// order, appending fired ids to log, and returns the updated log.
-func (m *refModel) runUntil(deadline Time, log []int) []int {
-	for {
-		best := -1
-		for i, ev := range m.events {
-			if ev.dead || ev.at > deadline {
-				continue
-			}
-			if best < 0 || ev.at < m.events[best].at ||
-				(ev.at == m.events[best].at && ev.seq < m.events[best].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		m.now = m.events[best].at
-		log = append(log, m.events[best].id)
-		m.events[best].dead = true
-	}
-	if m.now < deadline {
-		m.now = deadline
-	}
-	return log
-}
-
-// TestRandomizedAgainstReferenceModel drives the engine and a
-// brute-force model through the same random schedule/cancel/run-until
-// trace and requires identical firing order, clock and live-event
-// count at every step. Fixed seeds keep failures reproducible.
-func TestRandomizedAgainstReferenceModel(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := RNG(seed, "sim-stress")
-		e := NewEngine()
-		m := &refModel{}
-		var got, want []int
-		type live struct {
-			tm  Timer
-			ref int
-		}
-		var timers []live // includes fired ones: cancel-after-fire is exercised too
-		nextID := 0
-		for op := 0; op < 4000; op++ {
-			switch r := rng.Float64(); {
-			case r < 0.55:
-				at := e.Now() + Time(rng.Intn(1000))
-				id := nextID
-				nextID++
-				tm := e.At(at, func() { got = append(got, id) })
-				ref := m.schedule(at, id)
-				timers = append(timers, live{tm, ref})
-			case r < 0.80 && len(timers) > 0:
-				i := rng.Intn(len(timers))
-				timers[i].tm.Cancel()
-				// Mirror in the model only if the event hasn't fired;
-				// Cancel after fire must be a no-op in both.
-				if !m.events[timers[i].ref].dead {
-					m.cancel(timers[i].ref)
-				}
-			default:
-				deadline := e.Now() + Time(rng.Intn(500))
-				e.RunUntil(deadline)
-				want = m.runUntil(deadline, want)
-			}
-			if e.Now() != m.now {
-				t.Fatalf("seed %d op %d: clock %v, model %v", seed, op, e.Now(), m.now)
-			}
-		}
-		e.Run()
-		want = m.runUntil(1<<62, want)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, model fired %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing order diverges at %d: engine %d, model %d", seed, i, got[i], want[i])
-			}
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: Pending = %d after Run", seed, e.Pending())
-		}
-		if liveSlots := len(e.slots) - len(e.free); liveSlots != 0 {
-			t.Fatalf("seed %d: %d slots leaked", seed, liveSlots)
-		}
-	}
-}
-
 func TestRNGDeterminismAndIndependence(t *testing.T) {
 	a1 := RNG(42, "arrivals")
 	a2 := RNG(42, "arrivals")
@@ -356,5 +245,84 @@ func TestRNGDeterminismAndIndependence(t *testing.T) {
 	}
 	if diffStream > 2 || diffSeed > 2 {
 		t.Fatal("different streams/seeds must be independent")
+	}
+}
+
+// A lane opens for an offset the second time in a row it finds none; a
+// full table sends further offsets to the heap, and an empty lane is
+// handed to a new offset. Firing order is (at, seq) throughout.
+func TestLaneTableOpensFallsBackAndReuses(t *testing.T) {
+	e := NewEngine()
+	var order []Time
+	rec := func() { order = append(order, e.Now()) }
+	lane := func(tm Timer) int32 { return e.slots[tm.slot].lane }
+	if l := lane(e.After(5, rec)); l != inHeap {
+		t.Fatalf("first event at a new offset went to lane %d, want the heap", l)
+	}
+	for d := Time(1); d <= maxLanes; d++ {
+		e.After(d, rec)
+		if l := lane(e.After(d, rec)); l != int32(d-1) {
+			t.Fatalf("offset %v: second miss in a row went to lane %d, want %d", d, l, d-1)
+		}
+	}
+	e.After(maxLanes+1, rec)
+	if l := lane(e.After(maxLanes+1, rec)); l != inHeap {
+		t.Fatalf("full lane table put a ninth offset in lane %d, want the heap", l)
+	}
+	e.Run()
+	for i := 1; i < len(order); i++ {
+		if order[i] < order[i-1] {
+			t.Fatalf("events fired out of time order: %v", order)
+		}
+	}
+	// Every lane is empty now, so a new offset takes the first of them.
+	e.After(100, rec)
+	if l := lane(e.After(100, rec)); l != 0 {
+		t.Fatalf("new offset went to lane %d, want the emptied lane 0", l)
+	}
+	if e.laneOff[0] != 100 || e.nLanes != maxLanes {
+		t.Fatalf("lane 0 offset %v with %d lanes open, want 100 and %d", e.laneOff[0], e.nLanes, maxLanes)
+	}
+}
+
+// Cancelling a lane's head, a middle entry and its tail keeps Pending
+// exact and the survivors in order; once tombstones outnumber live
+// entries the lane compacts.
+func TestLaneCancelAndCompaction(t *testing.T) {
+	e := NewEngine()
+	var fired []int
+	var tms []Timer
+	for i := 0; i < 10; i++ {
+		e.RunFor(1)
+		tms = append(tms, e.After(50, func() { fired = append(fired, i) }))
+	}
+	ln := &e.lanes[0]
+	if e.nLanes != 1 || ln.n != 9 {
+		t.Fatalf("%d lanes open, lane 0 holds %d, want 1 lane holding 9", e.nLanes, ln.n)
+	}
+	tms[1].Cancel() // head (event 0 went to the heap)
+	tms[5].Cancel() // middle
+	tms[9].Cancel() // tail
+	if e.Pending() != 7 || ln.dead != 2 || e.headSeq[0] != 3 {
+		t.Fatalf("Pending %d, dead %d, head seq %d; want 7, 2, 3", e.Pending(), ln.dead, e.headSeq[0])
+	}
+	tms[3].Cancel()
+	tms[7].Cancel()
+	if ln.dead != 4 || ln.n != 8 {
+		t.Fatalf("lane holds %d entries with %d dead; want 8 and 4 (tombstones only equal live ones)", ln.n, ln.dead)
+	}
+	tms[8].Cancel()
+	if ln.dead != 0 || ln.n != 3 {
+		t.Fatalf("lane holds %d entries with %d dead after tombstones outnumbered live ones; want 3 and 0", ln.n, ln.dead)
+	}
+	e.Run()
+	want := []int{0, 2, 4, 6}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
 	}
 }
