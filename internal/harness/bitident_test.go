@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -10,18 +11,16 @@ import (
 	"polyraptor/internal/store"
 )
 
-// digest folds float64 bit patterns and integers into one FNV-64a
-// value. Hashing the raw bits (not a rounded rendering) makes the
-// digest change on any difference in any output, however small.
-type digest struct{ buf [8]byte }
-
-func (d *digest) sum(fn func(add func(uint64))) uint64 {
+// digestOf folds the values run adds, float64 bit patterns and
+// integers, into one FNV-64a value. Hashing the raw bits (not a
+// rounded rendering) makes the digest change on any difference in any
+// output, however small.
+func digestOf(run func(add func(uint64))) uint64 {
 	h := fnv.New64a()
-	fn(func(v uint64) {
-		for i := range d.buf {
-			d.buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(d.buf[:])
+	var buf [8]byte
+	run(func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	})
 	return h.Sum64()
 }
@@ -65,7 +64,6 @@ func TestOutputsBitIdenticalToPinnedDigests(t *testing.T) {
 		// and s390x, so float results may differ in the last bit there.
 		t.Skip("digests are pinned on amd64")
 	}
-	var d digest
 	incast := BenchIncastOptions()
 	// A quarter of the k=4 core links blackholed at 500 µs, never healed.
 	blackhole := testChaosOptions()
@@ -119,7 +117,7 @@ func TestOutputsBitIdenticalToPinnedDigests(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		if got := d.sum(c.run); got != c.want {
+		if got := digestOf(c.run); got != c.want {
 			t.Errorf("%s: digest %#016x, pinned %#016x", c.name, got, c.want)
 		}
 	}

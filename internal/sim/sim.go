@@ -65,7 +65,7 @@ const (
 	// offsets, incast and storage on five; the rest go to the heap.
 	maxLanes = 8
 	inHeap   = -1
-	// noKey is an empty lane's head key: later than any event.
+	// noKeyAt, noKeySeq is an empty lane's head key: after any event.
 	noKeyAt  = Time(math.MaxInt64)
 	noKeySeq = uint64(math.MaxUint64)
 )
@@ -91,8 +91,9 @@ type Engine struct {
 	processed uint64
 
 	// Lane table. Lanes 0..nLanes-1 are open; laneOff is each lane's
-	// offset, headAt/headSeq its head key (noKey when empty), kept in
-	// flat arrays so Step compares keys without touching the rings.
+	// offset and headAt/headSeq its head key (the noKey pair when
+	// empty), kept in flat arrays so Step compares keys without
+	// touching the rings.
 	nLanes   int
 	laneOff  [maxLanes]Time
 	headAt   [maxLanes]Time
