@@ -362,6 +362,8 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 2, 0, 2, 5, 0, 4, 1, 4, 3, 7, 255})
 	f.Add([]byte{0, 9, 0, 9, 3, 200, 1, 9, 2, 9, 5, 0, 5, 0, 6, 0, 6, 0, 7, 10})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		// The checks after each op cost O(timers issued); a cap keeps
+		// every exec, and the fuzzer's minimization, fast.
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
