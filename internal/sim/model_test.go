@@ -106,6 +106,7 @@ type lockstep struct {
 	e         *Engine
 	m         refModel
 	got, want []int
+	checked   int         // prefix of got already compared with want
 	timers    []lockTimer // every timer issued, fired ones included
 	peak      int         // largest Pending seen
 	cov       coverage
@@ -210,11 +211,14 @@ func (h *lockstep) check(op string) {
 	if len(h.got) != len(h.want) {
 		tb.Fatalf("after %s: fired %d events, model fired %d", op, len(h.got), len(h.want))
 	}
-	for i := len(h.got) - 1; i >= 0 && i >= len(h.got)-8; i-- {
+	// Every event fired since the last check is compared, so the whole
+	// firing order is checked once, however many events one op fires.
+	for i := h.checked; i < len(h.got); i++ {
 		if h.got[i] != h.want[i] {
 			tb.Fatalf("after %s: firing order diverges at %d: engine %d, model %d", op, i, h.got[i], h.want[i])
 		}
 	}
+	h.checked = len(h.got)
 	pending := e.Pending()
 	if live := h.m.live(); pending != live {
 		tb.Fatalf("after %s: Pending = %d, model has %d live", op, pending, live)

@@ -373,7 +373,9 @@ func (e *Engine) next() (int, Time) {
 	seqs := e.headSeq[:e.nLanes]
 	for l, la := range e.headAt[:len(seqs)] {
 		// Select without a branch: which lane wins is data-dependent
-		// and would mispredict.
+		// and would mispredict. A plain scan of the ring heads with a
+		// two-compare branch ran Fig1a about 14% slower end to end
+		// (EXPERIMENTS.md, "Fixed-offset lanes in the event engine").
 		m := earlier(la, seqs[l], at, seq)
 		at ^= (at ^ la) & Time(m)
 		seq ^= (seq ^ seqs[l]) & m
